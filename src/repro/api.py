@@ -17,7 +17,7 @@ Five job verbs plus two synchronous conveniences::
     api.status(fp, store="runs.db").state        # "pending" ... "done"
     record = api.result(fp, store="runs.db", wait=True)
 
-    # synchronous, in-process (the modern ``run_algorithm``)
+    # synchronous, in-process
     record = api.run("ld_gpu", dataset="mouse_gene", devices=4)
 
 Every verb takes ``store=`` naming where the jobs live:
@@ -559,9 +559,8 @@ def run(
     """Execute one job synchronously in this process and return its
     :class:`~repro.engine.record.RunRecord`.
 
-    The modern replacement for the deprecated
-    ``repro.harness.run_algorithm``: same validation and cell shape as
-    :func:`submit`, executed immediately.  With ``store=`` (a path or
+    Same validation and cell shape as :func:`submit`, executed
+    immediately.  With ``store=`` (a path or
     RunStore — not a daemon URL) the run is durable: a previously
     stored result is served without recompute and a fresh one is
     persisted.  Exceptions propagate (no error-record swallowing —

@@ -54,14 +54,17 @@ class CSRGraph:
     indices: np.ndarray
     weights: np.ndarray
     name: str = field(default="graph")
-    # Derived-array memos (degrees / canonical edge ids are recomputed by
-    # nearly every algorithm; suitor alone used to derive the edge ids
-    # twice per run).  Both are exposed read-only so a cached array can
-    # never be silently corrupted by a caller.
+    # Derived-array memos: nearly every algorithm needs them, and they
+    # are exposed read-only so a cached array can never be silently
+    # corrupted by a caller.  Per instance: a ``reweighted`` copy shares
+    # ``indptr``/``indices`` but derives its own sort order.
     _degrees: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _canonical_eids: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _sorted_order: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -113,11 +116,12 @@ class CSRGraph:
         contiguous with the canonical dtype — so mutating the graph
         through this object is impossible and mutating the underlying
         buffer is the caller's contract to avoid.  The memoised
-        :attr:`degrees` / :meth:`canonical_edge_ids` derivations work
-        unchanged (they allocate fresh arrays; nothing is written back
-        into the buffers).  The caller keeps the buffers alive for the
-        graph's lifetime; numpy views hold a reference to the exporting
-        object, which pins ``SharedMemory`` mappings automatically.
+        :attr:`degrees` / :meth:`canonical_edge_ids` /
+        :meth:`sorted_order` derivations work unchanged (they allocate
+        fresh arrays; nothing is written back into the buffers).  The
+        caller keeps the buffers alive for the graph's lifetime; numpy
+        views hold a reference to the exporting object, which pins
+        ``SharedMemory`` mappings automatically.
         """
         views = []
         for arr, dtype in (
@@ -263,6 +267,28 @@ class CSRGraph:
             eids.setflags(write=False)
             self._canonical_eids = eids
         return self._canonical_eids
+
+    def sorted_order(self) -> np.ndarray:
+        """Permutation of the adjacency entries into pointing order.
+
+        The one place the order is decided: row ascending, then weight
+        descending, then canonical edge id descending.  Rows stay
+        contiguous, so a row range ``[a, b)`` is the slice
+        ``order[indptr[a]:indptr[b]]``.  Within a row the key is a strict
+        total order (a simple graph never repeats a neighbour, hence
+        never an edge id): Lemma III.1's ``(w, eid)`` tie-break, so a
+        row's first unmatched entry is its vertex's locally dominant
+        candidate.  Cached on first access (``int64``, read-only).
+        """
+        if self._sorted_order is None:
+            n = self.num_vertices
+            rows = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+            # Canonical eids are non-negative, so negation is safe.
+            order = np.lexsort((-self.canonical_edge_ids(),
+                                -self.weights, rows))
+            order.setflags(write=False)
+            self._sorted_order = order
+        return self._sorted_order
 
     # ------------------------------------------------------------------ #
     # validation / transforms

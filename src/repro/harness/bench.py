@@ -285,6 +285,10 @@ SUITES: dict[str, tuple[Workload, ...]] = {
 }
 
 
+#: The ``pointing`` twin whose index/segment wall ratio is gated.
+POINTING_WALL_TWIN = "ld_seq-GAP-kron"
+
+
 def _median(values: list[float]) -> float | None:
     vals = [v for v in values if v is not None]
     return statistics.median(vals) if vals else None
@@ -462,6 +466,16 @@ def run_bench(
             if inc_l and rec_l:
                 e["speedup_vs_recompute"] = rec_l / inc_l
 
+    if suite == "pointing":
+        # Same-machine wall ratio of the default engine to its oracle.
+        by_name = {e["name"]: e for e in entries}
+        idx = by_name.get(f"{POINTING_WALL_TWIN}-index")
+        seg = by_name.get(f"{POINTING_WALL_TWIN}-segment")
+        if idx and seg and idx["status"] == seg["status"] == "ok" \
+                and seg["median_wall_time_s"]:
+            idx["wall_ratio_vs_segment"] = (idx["median_wall_time_s"]
+                                            / seg["median_wall_time_s"])
+
     from repro.harness.cache import cache_disabled, default_cache_root
     from repro.telemetry.provenance import build_manifest
 
@@ -558,7 +572,10 @@ def compare_reports(
     recorded a ``speedup_vs_recompute``, a current value below 1.0 —
     incremental repair slower than from-scratch recompute on the same
     stream, same machine — fails, while the absolute latencies stay
-    ungated (CI machines vary; ratios on one machine do not).
+    ungated (CI machines vary; ratios on one machine do not).  Likewise
+    a ``pointing`` report of 3+ repeats fails when its
+    :data:`POINTING_WALL_TWIN` index entry's ``wall_ratio_vs_segment``
+    exceeds 1.0 (only such a median amortises the graph's one sort).
     """
     problems: list[str] = []
     if current.get("suite") != baseline.get("suite"):
@@ -631,6 +648,18 @@ def compare_reports(
                 problems.append(
                     f"{name}: incremental repair is slower than "
                     f"from-scratch recompute (speedup {cs:.3g}x < 1)")
+    twin = cur.get(f"{POINTING_WALL_TWIN}-index")
+    if current["suite"] == "pointing" and current.get("repeats", 0) >= 3 \
+            and twin is not None and twin["status"] == "ok":
+        ratio = twin.get("wall_ratio_vs_segment")
+        if not isinstance(ratio, (int, float)):
+            problems.append(
+                f"{twin['name']}: wall_ratio_vs_segment missing "
+                f"(segment twin failed?)")
+        elif ratio > 1.0:
+            problems.append(
+                f"{twin['name']}: index engine is slower than the "
+                f"segment oracle (wall ratio {ratio:.3g}x > 1)")
     b_staging = baseline.get("staging")
     c_staging = current.get("staging") if b_staging else None
     if b_staging and c_staging:

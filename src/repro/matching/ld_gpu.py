@@ -78,9 +78,9 @@ class _DevicePartition:
     plan: BatchPlan
     pointers: np.ndarray
     mate: np.ndarray
-    #: Sorted-adjacency pointer index (``engine="index"``), built once
-    #: per run for this partition's row range (keyed by ``start`` as the
-    #: row offset); ``None`` under the segment engine.
+    #: Cursor index (``engine="index"``) over this partition's slice of
+    #: the graph's sorted order (keyed by ``start`` as the row offset);
+    #: ``None`` under the segment engine.
     index: PointerIndex | None = None
 
     @property
@@ -238,7 +238,8 @@ def ld_gpu(
     engine:
         Host-side engine for both phases: ``"index"`` builds one
         :class:`~repro.matching.pointer_index.PointerIndex` per device
-        partition (sorted adjacency + cursors) plus a global
+        partition (cursors over its slice of the graph's
+        :meth:`~repro.graph.csr.CSRGraph.sorted_order`) plus a global
         :class:`~repro.matching.pointer_index.MutualIndex` (pointer-
         delta mutual checks), amortized O(m) host work; ``"segment"``
         re-scans via :func:`~repro.matching.ld_seq.compute_pointers`
@@ -277,15 +278,14 @@ def ld_gpu(
 
     eids = graph.canonical_edge_ids()
     if engine == "index":
-        # One sorted-adjacency index per device partition, keyed by its
-        # row offset: built once per run, reused across iterations and
-        # batches (§III-B's monotone availability makes cursors safe).
+        # One cursor index per device partition (a contiguous row range,
+        # so a slice of the graph's one sorted order), keyed by its row
+        # offset; §III-B's monotone availability makes cursors safe.
+        order = graph.sorted_order()
         for p in parts:
-            base = int(graph.indptr[p.start])
-            p.index = PointerIndex(
-                p.local_indptr, graph.indices[base:],
-                graph.weights[base:], eids[base:], row_offset=p.start,
-            )
+            lo, hi = graph.indptr[p.start], graph.indptr[p.stop]
+            p.index = PointerIndex(p.local_indptr, graph.indices[order[lo:hi]],
+                                   row_offset=p.start)
     # The mutual check runs on the host over the *merged* pointers (one
     # check per iteration, not per device), so one delta index suffices.
     mutual = MutualIndex(n) if engine == "index" else None

@@ -153,8 +153,8 @@ def ld_seq(
     mate = np.full(n, UNMATCHED, dtype=np.int64)
     pointer = np.full(n, UNMATCHED, dtype=np.int64)
     eids = graph.canonical_edge_ids()
-    index = PointerIndex(graph.indptr, graph.indices, graph.weights,
-                         eids) if engine == "index" else None
+    index = (PointerIndex(graph.indptr, graph.indices[graph.sorted_order()])
+             if engine == "index" else None)
     mutual = MutualIndex(n) if engine == "index" else None
 
     frontier = np.arange(n, dtype=np.int64)

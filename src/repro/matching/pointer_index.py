@@ -10,19 +10,20 @@ task distribution") and that Suitor-style algorithms (Birn et al.,
 *Efficient Parallel and External Matching*) turn into amortized-linear
 total work.
 
-:class:`PointerIndex` is the *index* engine: built once per run (per
-device partition in LD-GPU, keyed by ``row_offset``), it sorts each CSR
-row's adjacency descending by the shared lexicographic key ``(w, eid)``
-and keeps a per-vertex cursor into the sorted layout.  Pointing then
-just advances each frontier vertex's cursor past neighbours whose
-``mate`` is set and takes the first live entry.  Because the key is a
-strict total order within a row (canonical edge ids are distinct across
-a vertex's neighbours), the first live entry *is* the
-``segment_argmax_lex`` winner — the engines are bit-identical by
-construction (the same total order as Lemma III.1's tie-break).
-Cursors only ever move forward and each advance permanently retires one
-adjacency entry, so the host arithmetic over an entire run is O(m) plus
-the one O(m log m) build, instead of O(m × rounds).
+:class:`PointerIndex` is the *index* engine: per-vertex cursors over a
+slice of the graph-owned pointing order
+(:meth:`~repro.graph.csr.CSRGraph.sorted_order`, each row descending by
+the shared lexicographic key ``(w, eid)``).  ``ld_seq`` hands it the
+whole order; LD-GPU hands each device the slice of its contiguous row
+range, keyed by ``row_offset``.  Pointing then just advances each
+frontier vertex's cursor past neighbours whose ``mate`` is set and
+takes the first live entry.  Because the key is a strict total order
+within a row, the first live entry *is* the ``segment_argmax_lex``
+winner — the engines are bit-identical by construction (the same total
+order as Lemma III.1's tie-break).  Cursors only ever move forward and
+each advance permanently retires one adjacency entry, so the host
+arithmetic over an entire run is O(m), instead of O(m × rounds); the
+O(m log m) sort is paid once per graph, not per run or per device.
 
 Cursor advances are vectorised as repeated whole-frontier NumPy steps
 over a shrinking working set — there is no per-vertex Python loop.
@@ -108,8 +109,7 @@ def resolve_pointing_engine(engine: str | None = None) -> str:
 
 
 class PointerIndex:
-    """Build-once sorted adjacency + per-vertex cursors for one CSR
-    row range.
+    """Per-vertex cursors over one CSR row range in pointing order.
 
     Parameters
     ----------
@@ -118,10 +118,11 @@ class PointerIndex:
         device partition's row range starting at global vertex id
         ``row_offset`` (cf. :func:`~repro.matching.ld_seq.
         compute_pointers`).
-    indices / weights / eids:
-        Adjacency arrays indexed by ``indptr``'s local positions
-        (suffix views of the global arrays work — only the first
-        ``indptr[-1]`` entries are read).  Neighbour ids are global.
+    sorted_indices:
+        Neighbour ids (global) of the range's adjacency entries in the
+        graph's :meth:`~repro.graph.csr.CSRGraph.sorted_order`, indexed
+        by ``indptr``'s local positions — for a row range ``[a, b)``,
+        ``graph.indices[graph.sorted_order()[indptr[a]:indptr[b]]]``.
     row_offset:
         Global id of local row 0.
 
@@ -137,33 +138,19 @@ class PointerIndex:
     def __init__(
         self,
         indptr: np.ndarray,
-        indices: np.ndarray,
-        weights: np.ndarray,
-        eids: np.ndarray,
+        sorted_indices: np.ndarray,
         row_offset: int = 0,
     ) -> None:
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.row_offset = int(row_offset)
-        n_local = len(self.indptr) - 1
-        m = int(self.indptr[-1]) if n_local >= 0 else 0
-        rows = np.repeat(np.arange(n_local, dtype=np.int64),
-                         np.diff(self.indptr))
-        # Stable sort by (row asc, weight desc, eid desc): rows stay
-        # contiguous, so ``indptr`` still delimits them in the sorted
-        # layout.  Canonical eids are non-negative, so negation is safe.
-        order = np.lexsort((-eids[:m], -weights[:m], rows))
         #: Neighbour id per sorted adjacency slot.
-        self.sorted_indices = indices[:m][order]
+        self.sorted_indices = sorted_indices
         #: Per-local-vertex cursor into the sorted layout.
         self.cursor = self.indptr[:-1].copy()
         #: Actual adjacency entries examined across all ``point`` calls.
         self.host_entries_scanned = 0
         #: Entries examined by the most recent ``point`` call.
         self.last_host_scanned = 0
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.indptr) - 1
 
     def point(
         self,

@@ -50,6 +50,7 @@ default lease duration (300 s).
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import socket
@@ -277,24 +278,32 @@ class RunStore:
         conn = sqlite3.connect(str(self.path), timeout=30.0,
                                isolation_level=None)
         conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute("PRAGMA busy_timeout=30000")
-        conn.executescript(_SCHEMA_SQL)
-        conn.execute(
-            "INSERT OR IGNORE INTO store_meta (key, value) VALUES "
-            "('schema', ?)", (str(STORE_SCHEMA_VERSION),))
-        stored = int(conn.execute(
-            "SELECT value FROM store_meta WHERE key='schema'"
-        ).fetchone()["value"])
-        if stored > STORE_SCHEMA_VERSION:
-            conn.close()
-            raise ValueError(
-                f"run store {self.path} has schema {stored}, newer than "
-                f"supported ({STORE_SCHEMA_VERSION})")
-        if stored < STORE_SCHEMA_VERSION:
-            self._migrate(conn, stored)
-        conn.execute(_CLAIM_INDEX_SQL)
+        # WAL switch and schema creation race on a fresh file (SQLite
+        # fails a lock-upgrade deadlock at once, skipping the busy
+        # handler), so this idempotent block runs under a sidecar flock.
+        lock = os.open(f"{self.path}.init.lock", os.O_RDWR | os.O_CREAT)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute("PRAGMA busy_timeout=30000")
+            conn.executescript(_SCHEMA_SQL)
+            conn.execute(
+                "INSERT OR IGNORE INTO store_meta (key, value) VALUES "
+                "('schema', ?)", (str(STORE_SCHEMA_VERSION),))
+            stored = int(conn.execute(
+                "SELECT value FROM store_meta WHERE key='schema'"
+            ).fetchone()["value"])
+            if stored > STORE_SCHEMA_VERSION:
+                conn.close()
+                raise ValueError(
+                    f"run store {self.path} has schema {stored}, newer "
+                    f"than supported ({STORE_SCHEMA_VERSION})")
+            if stored < STORE_SCHEMA_VERSION:
+                self._migrate(conn, stored)
+            conn.execute(_CLAIM_INDEX_SQL)
+        finally:
+            os.close(lock)  # releases the flock
         self._conn = conn
         return conn
 

@@ -43,7 +43,7 @@ what a non-incremental system would pay on every batch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,18 +181,15 @@ class IncrementalLD(StreamingEngine):
 
     def __init__(self, base: CSRGraph):
         super().__init__(base)
-        # PointerIndex layout: every base row sorted descending by
-        # (weight, eid) in one global lexsort; per-vertex overlay rows
+        # PointerIndex layout: base rows in the graph's sorted order
+        # (descending by (weight, eid)); per-vertex overlay rows
         # replace base slices only after that vertex's neighbourhood
         # changes (the "cursor rebuild").
-        eids = base.canonical_edge_ids()
-        rows = np.repeat(np.arange(self._n, dtype=np.int64),
-                         base.degrees)
-        order = np.lexsort((-eids, -base.weights, rows))
+        order = base.sorted_order()
         self._indptr = base.indptr
         self._sorted_nbrs = base.indices[order]
         self._sorted_ws = base.weights[order]
-        self._sorted_eids = eids[order]
+        self._sorted_eids = base.canonical_edge_ids()[order]
         self._rows: dict[int, tuple[np.ndarray, np.ndarray,
                                     np.ndarray]] = {}
         # Matched key per vertex ((-inf, -1) = free), the O(1) side of

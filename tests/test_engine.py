@@ -22,7 +22,7 @@ from repro.engine import (
 from repro.cli import main
 from repro.gpusim.spec import CPU_EPYC_7742_2S, DGX_2, DGX_A100
 from repro.harness.datasets import quality_instance, scaled_platform
-from repro.harness.runners import ALGORITHMS, best_ld_gpu
+from repro.harness.runners import best_ld_gpu
 from repro.harness.sweep import TABLE1_BATCH_COUNTS, TABLE1_DEVICE_COUNTS
 
 ALL_NAMES = algorithm_names()
@@ -47,12 +47,13 @@ class TestRegistry:
         }
 
     def test_algorithms_view_tracks_registry(self):
-        assert sorted(ALGORITHMS) == ALL_NAMES
-        assert "ld_gpu" in ALGORITHMS
-        assert len(ALGORITHMS) == len(ALL_NAMES)
+        names = algorithm_names()
+        assert sorted(names) == ALL_NAMES
+        assert "ld_gpu" in names
+        assert len(names) == len(ALL_NAMES)
         from repro.matching.ld_gpu import ld_gpu
 
-        assert ALGORITHMS["ld_gpu"] is ld_gpu
+        assert get_spec("ld_gpu").fn is ld_gpu
 
     def test_unknown_name_is_keyerror(self):
         with pytest.raises(KeyError, match="unknown algorithm"):

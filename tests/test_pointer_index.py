@@ -134,6 +134,55 @@ def test_ld_seq_engines_identical_generators(gen, scheme):
 
 
 # ------------------------------------------------------------------ #
+# the graph-owned sorted order
+# ------------------------------------------------------------------ #
+
+
+def reference_order(g):
+    """Per-row reference: each row's entries by ``(w, eid)`` descending."""
+    eids = g.canonical_edge_ids()
+    out = []
+    for v in range(g.num_vertices):
+        lo, hi = int(g.indptr[v]), int(g.indptr[v + 1])
+        out.extend(sorted(range(lo, hi),
+                          key=lambda k: (-g.weights[k], -eids[k])))
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+@pytest.mark.parametrize("scheme", ["uniform", "ties"])
+def test_sorted_order_matches_per_row_reference(gen, scheme):
+    g = gen()
+    if scheme == "ties":
+        g = tie_heavy(g)
+    order = g.sorted_order()
+    assert order.dtype == np.int64
+    assert np.array_equal(order, reference_order(g))
+
+
+@given(g=random_graphs(tie_prone=True))
+def test_sorted_order_matches_reference_tie_prone(g):
+    assert np.array_equal(g.sorted_order(), reference_order(g))
+
+
+def test_reweighted_copy_gets_its_own_order():
+    """``reweighted`` shares ``indptr``/``indices`` with its source, so
+    the order must be derived per graph, not per structure: running
+    the index engine on the source first must not leak its order into
+    the unit-weight copy."""
+    g = rmat_graph(8, 6, seed=9, name="rmat")
+    unit = g.reweighted(np.ones_like(g.weights))
+    ld_gpu(g, num_devices=4, engine="index")
+    assert unit.sorted_order() is not g.sorted_order()
+    assert np.array_equal(unit.sorted_order(), reference_order(unit))
+    assert not np.array_equal(unit.sorted_order(), g.sorted_order())
+    rs = ld_gpu(unit, num_devices=4, engine="segment")
+    ri = ld_gpu(unit, num_devices=4, engine="index")
+    assert_same_run(rs, ri)
+    assert rs.sim_time == ri.sim_time
+
+
+# ------------------------------------------------------------------ #
 # engine identity — ld_gpu across the configuration grid
 # ------------------------------------------------------------------ #
 
@@ -191,8 +240,7 @@ def test_cursors_persist_across_iterations(medium_graph):
     """A single index, reused round after round as ``mate`` fills in,
     stays identical to from-scratch segment pointing every round."""
     g = medium_graph
-    idx = PointerIndex(g.indptr, g.indices, g.weights,
-                       g.canonical_edge_ids())
+    idx = PointerIndex(g.indptr, g.indices[g.sorted_order()])
     rng = np.random.default_rng(0)
     mate = np.full(g.num_vertices, UNMATCHED, dtype=np.int64)
     pointer = np.full(g.num_vertices, UNMATCHED, dtype=np.int64)
@@ -213,8 +261,7 @@ def test_cursors_persist_across_iterations(medium_graph):
 
 def test_point_modeled_count_is_frontier_degrees(triangle):
     g = triangle
-    idx = PointerIndex(g.indptr, g.indices, g.weights,
-                       g.canonical_edge_ids())
+    idx = PointerIndex(g.indptr, g.indices[g.sorted_order()])
     mate = np.full(3, UNMATCHED, dtype=np.int64)
     pointer = np.full(3, UNMATCHED, dtype=np.int64)
     frontier = np.arange(3)
@@ -226,8 +273,7 @@ def test_point_modeled_count_is_frontier_degrees(triangle):
 
 def test_empty_frontier_and_empty_graph():
     g = build_graph(4, [])
-    idx = PointerIndex(g.indptr, g.indices, g.weights,
-                       g.canonical_edge_ids())
+    idx = PointerIndex(g.indptr, g.indices[g.sorted_order()])
     mate = np.full(4, UNMATCHED, dtype=np.int64)
     pointer = np.full(4, UNMATCHED, dtype=np.int64)
     assert idx.point(mate, pointer, np.arange(4)) == 0
@@ -340,8 +386,9 @@ def test_mutual_index_none_diffs_whole_array():
 
 
 def test_row_offset_matches_global(medium_graph):
-    """Per-partition indices (local indptr + suffix adjacency views,
-    exactly how LD-GPU builds them) agree with global pointing."""
+    """Per-partition indices (local indptr + a slice of the graph's
+    sorted order, exactly how LD-GPU builds them) agree with global
+    pointing."""
     g = medium_graph
     n = g.num_vertices
     eids = g.canonical_edge_ids()
@@ -355,10 +402,10 @@ def test_row_offset_matches_global(medium_graph):
     compute_pointers(g.indptr, g.indices, g.weights, eids, mate,
                      global_ptr, frontier)
     for start, stop in ((0, split), (split, n)):
-        base = int(g.indptr[start])
+        base, top = int(g.indptr[start]), int(g.indptr[stop])
         local_indptr = g.indptr[start:stop + 1] - base
-        idx = PointerIndex(local_indptr, g.indices[base:],
-                           g.weights[base:], eids[base:],
+        idx = PointerIndex(local_indptr,
+                           g.indices[g.sorted_order()[base:top]],
                            row_offset=start)
         sel = frontier[(frontier >= start) & (frontier < stop)]
         idx.point(mate, part_ptr, sel)
@@ -427,6 +474,9 @@ def test_csr_caches_are_memoised_and_readonly(triangle):
     e1 = triangle.canonical_edge_ids()
     assert e1 is triangle.canonical_edge_ids()
     assert not e1.flags.writeable
+    o1 = triangle.sorted_order()
+    assert o1 is triangle.sorted_order()
+    assert not o1.flags.writeable
 
 
 # ------------------------------------------------------------------ #
@@ -447,6 +497,74 @@ def test_pointing_suite_shape():
     assert g.num_vertices == 300
     assert np.all(g.weights == 1.0)
     assert tie_path_6000().num_directed_edges == 2 * 5999
+
+
+def _pointing_report(ratio, repeats=3):
+    """The committed pointing baseline as a current report whose
+    GAP-kron index entry carries ``ratio`` (``None``: no ratio)."""
+    import copy
+    import json
+    from pathlib import Path
+
+    from repro.harness.bench import POINTING_WALL_TWIN
+
+    path = Path(__file__).resolve().parents[1] / "benchmarks" \
+        / "baseline_pointing.json"
+    baseline = json.loads(path.read_text())
+    current = copy.deepcopy(baseline)
+    current["repeats"] = repeats
+    twin = next(w for w in current["workloads"]
+                if w["name"] == f"{POINTING_WALL_TWIN}-index")
+    if ratio is not None:
+        twin["wall_ratio_vs_segment"] = ratio
+    return current, baseline
+
+
+def test_pointing_twin_gate_passes_when_index_wins():
+    from repro.harness.bench import compare_reports
+
+    # The committed baseline's sim_time figures pass unchanged.
+    assert compare_reports(*_pointing_report(0.3)) == []
+    assert compare_reports(*_pointing_report(1.0)) == []
+
+
+def test_pointing_twin_gate_flags_index_slower():
+    from repro.harness.bench import compare_reports
+
+    problems = compare_reports(*_pointing_report(1.5))
+    assert len(problems) == 1
+    assert "ld_seq-GAP-kron-index" in problems[0]
+    assert "slower than the segment oracle" in problems[0]
+    problems = compare_reports(*_pointing_report(None))
+    assert len(problems) == 1 and "missing" in problems[0]
+    # Below 3 repeats the median does not amortise the one sort per
+    # graph, so the ratio is not gated.
+    assert compare_reports(*_pointing_report(1.5, repeats=1)) == []
+
+
+def test_pointing_twin_ratio_attached(monkeypatch):
+    """run_bench pairs the GAP-kron index entry with its segment twin
+    (a stubbed grid, so the test does not time real runs)."""
+    from repro.engine.record import RunRecord
+    from repro.harness import bench
+
+    def fake_run_cells(cells, **kw):
+        out = []
+        for c in cells:
+            segment = c.overrides.get("engine") == "segment"
+            out.append(RunRecord(
+                algorithm="ld_seq", graph="g", num_vertices=2,
+                num_directed_edges=2, weight=1.0, matched_edges=1,
+                iterations=1, wall_time_s=2.0 if segment else 0.5))
+        return out
+
+    monkeypatch.setattr(bench, "run_cells", fake_run_cells)
+    report = bench.run_bench("pointing", repeats=3)
+    by_name = {w["name"]: w for w in report["workloads"]}
+    twin = by_name[f"{bench.POINTING_WALL_TWIN}-index"]
+    assert twin["wall_ratio_vs_segment"] == 0.25
+    assert sum("wall_ratio_vs_segment" in w
+               for w in report["workloads"]) == 1
 
 
 def test_graph_plane_suite_shape():

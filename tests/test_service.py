@@ -328,12 +328,6 @@ class TestApiSurface:
         assert "api" in repro.__all__
         assert repro.api.submit is api.submit
 
-    def test_run_algorithm_points_at_api(self, medium_graph):
-        from repro.harness import run_algorithm
-
-        with pytest.warns(DeprecationWarning, match=r"repro\.api"):
-            run_algorithm("greedy", medium_graph)
-
 
 # ------------------------------------------------------------------ #
 # the daemon (in-thread, ephemeral port)

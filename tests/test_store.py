@@ -10,6 +10,7 @@ heartbeat, the to_json round-trip stability contract, and the
 import json
 import multiprocessing
 import os
+import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -376,10 +377,52 @@ def _claim_worker(payload):
     return store.claim(fp)
 
 
+def _fresh_open_worker(paths, barrier, out, seed):
+    """Meet the other workers at the barrier before each fresh store,
+    then open it and register one row of our own; report failures."""
+    rng = random.Random(seed)
+    failures = []
+    try:
+        for db in paths:
+            barrier.wait(timeout=60)
+            try:
+                with RunStore(db) as store:
+                    store.register(f"cell:{rng.getrandbits(160):040x}",
+                                   algorithm="x", config={})
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append(f"{db}: {exc!r}")
+    except Exception as exc:  # noqa: BLE001 - a broken barrier
+        failures.append(repr(exc))
+    out.put(failures)
+
+
 @pytest.mark.skipif("fork" not in
                     multiprocessing.get_all_start_methods(),
                     reason="fork start method unavailable")
 class TestConcurrentClaims:
+    def test_concurrent_first_open_of_fresh_stores(self, tmp_path):
+        """N processes x M fresh stores: each store's first open (WAL
+        switch, schema, meta, migration, index) races between all N
+        processes at once, and every register() must succeed."""
+        procs, stores = 4, 200
+        paths = [str(tmp_path / f"s{i}" / "runs.db") for i in range(stores)]
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(procs)
+        out = ctx.Queue()
+        workers = [ctx.Process(target=_fresh_open_worker,
+                               args=(paths, barrier, out, 1000 + k))
+                   for k in range(procs)]
+        for w in workers:
+            w.start()
+        failures = [f for _ in workers for f in out.get(timeout=300)]
+        for w in workers:
+            w.join(timeout=60)
+            assert not w.is_alive() and w.exitcode == 0
+        assert failures == []
+        for db in paths:
+            with RunStore(db) as store:
+                assert store.counts()["pending"] == procs
+
     def test_exactly_one_claim_wins(self, tmp_path):
         db = str(tmp_path / "runs.db")
         fp = "cell:" + "d" * 40
