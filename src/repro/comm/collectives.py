@@ -21,7 +21,8 @@ import numpy as np
 from repro.comm.topology import Interconnect
 
 __all__ = ["allreduce_max", "allreduce_sum", "broadcast",
-           "hierarchical_allreduce_max", "ring_allreduce_time"]
+           "hierarchical_allreduce_max", "hierarchical_allreduce_time",
+           "ring_allreduce_time"]
 
 
 def ring_allreduce_time(nbytes: int, num_devices: int,
@@ -76,15 +77,37 @@ def allreduce_sum(buffers: Sequence[np.ndarray],
     return ring_allreduce_time(out.nbytes, len(buffers), link)
 
 
+def hierarchical_allreduce_time(
+    nbytes: int,
+    num_nodes: int,
+    devices_per_node: int,
+    intra: Interconnect,
+    inter: Interconnect,
+) -> float:
+    """Seconds for a two-level allreduce of ``nbytes``: ring within each
+    node, ring across node leaders, broadcast back — NCCL's
+    tree-of-rings strategy for multi-node jobs."""
+    # Stage 1: reduce to each node's leader (ring reduce ≈ half an
+    # allreduce); Stage 2: allreduce across leaders; Stage 3: intra-node
+    # broadcast of the result.
+    t = 0.0
+    if devices_per_node > 1:
+        t += ring_allreduce_time(nbytes, devices_per_node, intra) / 2.0
+    t += ring_allreduce_time(nbytes, num_nodes, inter)
+    if devices_per_node > 1:
+        t += nbytes / intra.collective_bandwidth_bps(devices_per_node) \
+            + (devices_per_node - 1) * intra.latency_s
+    return t
+
+
 def hierarchical_allreduce_max(
     buffers: Sequence[np.ndarray],
     devices_per_node: int,
     intra: Interconnect,
     inter: Interconnect,
 ) -> float:
-    """Two-level MAX allreduce: ring within each node, ring across node
-    leaders, broadcast back — NCCL's tree-of-rings strategy for
-    multi-node jobs.  ``buffers`` are grouped into nodes by index.
+    """Two-level MAX allreduce (:func:`hierarchical_allreduce_time`);
+    ``buffers`` are grouped into nodes by index.
 
     Returns the modeled time; the combine itself is exact, leaving every
     buffer equal to the global elementwise max.
@@ -97,26 +120,15 @@ def hierarchical_allreduce_max(
             f"{len(buffers)} buffers do not fill whole nodes of "
             f"{devices_per_node}"
         )
-    num_nodes = len(buffers) // devices_per_node
-    nbytes = buffers[0].nbytes
-
-    # Stage 1: reduce to each node's leader (ring reduce ≈ half an
-    # allreduce); Stage 2: allreduce across leaders; Stage 3: intra-node
-    # broadcast of the result.
-    t = 0.0
-    if devices_per_node > 1:
-        t += ring_allreduce_time(nbytes, devices_per_node, intra) / 2.0
-    t += ring_allreduce_time(nbytes, num_nodes, inter)
-    if devices_per_node > 1:
-        t += nbytes / intra.collective_bandwidth_bps(devices_per_node) \
-            + (devices_per_node - 1) * intra.latency_s
-
     out = buffers[0].copy()
     for b in buffers[1:]:
         np.maximum(out, b, out=out)
     for b in buffers:
         b[...] = out
-    return t
+    return hierarchical_allreduce_time(
+        out.nbytes, len(buffers) // devices_per_node, devices_per_node,
+        intra, inter,
+    )
 
 
 def broadcast(buffers: Sequence[np.ndarray], root: int,

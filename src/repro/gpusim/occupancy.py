@@ -48,12 +48,20 @@ def warp_work_distribution(
     warp_work = np.add.reduceat(
         np.asarray(work_per_vertex, dtype=np.int64), starts
     )
+    # ``np.mean`` / ``np.std`` spelled as their underlying ufunc
+    # reductions, in the same operation order (float64 sum, divide;
+    # squared deviations, float64 sum, divide, sqrt), so the results
+    # are bit-identical without the wrappers' per-call overhead.
+    k = len(starts)
+    mean = np.add.reduce(warp_work, dtype=np.float64) / k
+    dev = np.subtract(warp_work, mean)
+    var = np.add.reduce(np.square(dev, out=dev)) / k
     return WarpWorkStats(
-        num_warps=len(starts),
+        num_warps=k,
         total_work=int(warp_work.sum()),
         max_work=int(warp_work.max()),
-        mean_work=float(warp_work.mean()),
-        std_work=float(warp_work.std()),
+        mean_work=float(mean),
+        std_work=float(np.sqrt(var)),
     )
 
 

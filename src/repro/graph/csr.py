@@ -57,7 +57,8 @@ class CSRGraph:
     # Derived-array memos: nearly every algorithm needs them, and they
     # are exposed read-only so a cached array can never be silently
     # corrupted by a caller.  Per instance: a ``reweighted`` copy shares
-    # ``indptr``/``indices`` but derives its own sort order.
+    # ``indptr``/``indices`` but derives its own sort order.  Rebinding
+    # ``indptr``, ``indices`` or ``weights`` drops them all.
     _degrees: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -67,6 +68,17 @@ class CSRGraph:
     _sorted_order: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: :func:`~repro.telemetry.provenance.graph_fingerprint`'s memo.
+    _fingerprint: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name in ("indptr", "indices", "weights"):
+            for memo in ("_degrees", "_canonical_eids", "_sorted_order",
+                         "_fingerprint"):
+                object.__setattr__(self, memo, None)
 
     # ------------------------------------------------------------------ #
     # construction helpers

@@ -16,10 +16,18 @@ device simulator:
    NCCL-style MAX allreduce of ``pointers`` → ``SetMates`` mutual check →
    MAX allreduce of ``mate`` → terminate when no edge was committed.
 
-Arithmetic is shared with LD-SEQ (:func:`compute_pointers` /
-:func:`find_mutual_pairs`), so for every (devices, batches) configuration
-the ``mate`` array is bit-identical to the sequential algorithm — the
-executable form of the paper's Lemma III.1.
+The host runs each round's arithmetic once, over the whole frontier, with
+LD-SEQ's own phase functions, and keeps one copy of ``pointers`` and
+``mate``: the state every device holds after each allreduce.  The
+partition is disjoint, so each slot has one live owner and the MAX
+allreduce (:func:`~repro.comm.collectives.allreduce_max`, tested on its
+own) yields exactly that merged array — the argument of Lemma III.1's
+proof.  Devices, batches and collectives only shape the modeled clock:
+one ``searchsorted`` splits the round's sorted frontier into the
+(device, batch) launches the kernel cost model charges, and each
+allreduce is charged by the collective cost model.  For every
+(devices, batches) configuration ``mate`` is bit-identical to the
+sequential algorithm — the executable form of Lemma III.1.
 
 Work model: like the frontier-optimised LD-SEQ, only vertices whose pointer
 died are re-scanned, and only batches intersecting that frontier are
@@ -34,7 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.spec import AlgorithmSpec, register
-from repro.comm.collectives import allreduce_max
+# ``allreduce_max`` is not called here (the host keeps the merged copy
+# itself); it stays bound because perfbench's tracer patches it by name.
+from repro.comm.collectives import allreduce_max  # noqa: F401
+from repro.comm.collectives import ring_allreduce_time
 from repro.comm.transfer import h2d_time
 from repro.gpusim.device import SimDevice
 from repro.gpusim.kernels import matching_kernel_cost, pointing_kernel_cost
@@ -69,19 +80,12 @@ _SYNCS_PER_ITERATION = 2
 
 @dataclass
 class _DevicePartition:
-    """Per-device state: vertex range, local CSR rows, batch plan."""
+    """Per-device state: vertex range and batch plan."""
 
     device: SimDevice
     start: int
     stop: int
-    local_indptr: np.ndarray
     plan: BatchPlan
-    pointers: np.ndarray
-    mate: np.ndarray
-    #: Cursor index (``engine="index"``) over this partition's slice of
-    #: the graph's sorted order (keyed by ``start`` as the row offset);
-    #: ``None`` under the segment engine.
-    index: PointerIndex | None = None
 
     @property
     def num_vertices(self) -> int:
@@ -178,22 +182,17 @@ def _setup_devices(
         plan = plan_batches(local_indptr, num_batches, resident=resident)
 
         # Device-resident allocations (§III-C trade-off: global pointers
-        # and mate arrays live on every device).
-        pointers = dev.alloc_array("pointers", n, np.int64)
-        mate = dev.alloc_array("mate", n, np.int64)
+        # and mate arrays live on every device; the host keeps their one
+        # merged copy).
+        dev.reserve("pointers", n * 8)
+        dev.reserve("mate", n * 8)
         dev.register_view("indptr", local_indptr)
         if plan.resident:
             dev.reserve("edges", edge_bytes)
         else:
             dev.reserve("batch_buffer_0", plan.max_batch_edges * bpa)
             dev.reserve("batch_buffer_1", plan.max_batch_edges * bpa)
-
-        pointers.fill(UNMATCHED)
-        mate.fill(UNMATCHED)
-        parts.append(
-            _DevicePartition(dev, start, stop, local_indptr, plan,
-                             pointers, mate)
-        )
+        parts.append(_DevicePartition(dev, start, stop, plan))
     return parts
 
 
@@ -231,15 +230,16 @@ def ld_gpu(
         ``"edge"`` (default, §III-A's edge-balanced contiguous split) or
         ``"vertex"`` (naive equal-#vertices ablation baseline).
     allreduce:
-        Collective override: ``callable(buffers) -> seconds`` combining
-        the per-device arrays in place (default: NCCL ring over
-        ``platform.gpu_link``).  The multi-node extension injects a
-        hierarchical NVLink+InfiniBand collective here.
+        Collective cost override: ``callable(nbytes) -> seconds``, the
+        modeled time of one MAX allreduce of an ``nbytes`` replicated
+        array (default: NCCL ring over ``platform.gpu_link``).  The
+        multi-node extension injects the hierarchical NVLink+InfiniBand
+        collective's time here.
     engine:
         Host-side engine for both phases: ``"index"`` builds one
-        :class:`~repro.matching.pointer_index.PointerIndex` per device
-        partition (cursors over its slice of the graph's
-        :meth:`~repro.graph.csr.CSRGraph.sorted_order`) plus a global
+        :class:`~repro.matching.pointer_index.PointerIndex` over the
+        graph's :meth:`~repro.graph.csr.CSRGraph.sorted_order` (as
+        ``ld_seq`` does) plus a
         :class:`~repro.matching.pointer_index.MutualIndex` (pointer-
         delta mutual checks), amortized O(m) host work; ``"segment"``
         re-scans via :func:`~repro.matching.ld_seq.compute_pointers`
@@ -273,30 +273,29 @@ def ld_gpu(
     nb = parts[0].plan.num_batches
 
     if allreduce is None:
-        def allreduce(buffers):
-            return allreduce_max(buffers, platform.gpu_link)
+        def allreduce(nbytes):
+            return ring_allreduce_time(nbytes, num_devices,
+                                       platform.gpu_link)
 
-    eids = graph.canonical_edge_ids()
-    if engine == "index":
-        # One cursor index per device partition (a contiguous row range,
-        # so a slice of the graph's one sorted order), keyed by its row
-        # offset; §III-B's monotone availability makes cursors safe.
-        order = graph.sorted_order()
-        for p in parts:
-            lo, hi = graph.indptr[p.start], graph.indptr[p.stop]
-            p.index = PointerIndex(p.local_indptr, graph.indices[order[lo:hi]],
-                                   row_offset=p.start)
-    # The mutual check runs on the host over the *merged* pointers (one
-    # check per iteration, not per device), so one delta index suffices.
+    # One whole-graph index and one merged pointers/mate pair (what
+    # every device holds after each allreduce; see the module docstring).
+    index = (PointerIndex(graph.indptr, graph.indices[graph.sorted_order()])
+             if engine == "index" else None)
     mutual = MutualIndex(n) if engine == "index" else None
+    eids = graph.canonical_edge_ids() if index is None else None
+    pointers = np.full(n, UNMATCHED, dtype=np.int64)
+    mate = np.full(n, UNMATCHED, dtype=np.int64)
+    replicated_bytes = pointers.nbytes
+    # Global first vertex of every (device, batch) launch, device-major,
+    # closed by n: one searchsorted splits a round's sorted frontier.
+    launch_bounds = np.concatenate(
+        [p.start + p.plan.offsets[:-1] for p in parts] + [[n]]
+    )
     timeline = Timeline()
     # Component spans feed the timeline AND (when a metrics registry is
     # active, e.g. under the engine's MetricsSink) the telemetry
     # registry — from the same floats, so exports reconcile exactly.
     tel = SpanEmitter(timeline, algorithm="ld_gpu", device=spec.name)
-    # Host-side merged views (what every device holds after allreduce).
-    pointers_g = parts[0].pointers
-    mate_g = parts[0].mate
 
     frontier = np.arange(n, dtype=np.int64)
     occupancy_series: list[float] = []
@@ -314,27 +313,20 @@ def ld_gpu(
         timeline.begin_iteration()
 
         # ---------------- pointing phase (per device, batched) --------- #
+        cuts = np.searchsorted(frontier, launch_bounds).tolist()
         makespans = []
         computes = []
-        iter_scanned = 0
-        iter_host = 0
         occ_accum = 0.0
         occ_weight = 0.0
         w_tot = w_max = 0
         w_sumsq = 0.0
         w_warps = 0
-        for p in parts:
-            dev_frontier = frontier[
-                (frontier >= p.start) & (frontier < p.stop)
-            ]
-            local = dev_frontier - p.start
-            boff = p.plan.offsets
-            which = np.searchsorted(boff, local, side="right") - 1
+        for i, p in enumerate(parts):
             load_times: list[float] = []
             comp_times: list[float] = []
             for b in range(nb):
-                sel = dev_frontier[which == b]
-                if len(sel) == 0:
+                c0, c1 = cuts[i * nb + b], cuts[i * nb + b + 1]
+                if c0 == c1:
                     continue  # batch untouched: neither loaded nor launched
                 if p.plan.resident:
                     load_times.append(0.0)
@@ -361,7 +353,7 @@ def ld_gpu(
                         batch=b,
                     )
                 prof = pointing_kernel_cost(
-                    spec, degrees[sel], vertices_per_warp
+                    spec, degrees[frontier[c0:c1]], vertices_per_warp
                 )
                 comp_times.append(prof.seconds)
                 p.device.record_kernel()
@@ -372,20 +364,6 @@ def ld_gpu(
                 w_max = max(w_max, ws.max_work)
                 w_sumsq += (ws.std_work**2 + ws.mean_work**2) * ws.num_warps
                 w_warps += ws.num_warps
-                # Exact arithmetic for this batch's frontier slice.
-                if p.index is not None:
-                    iter_scanned += p.index.point(mate_g, p.pointers, sel)
-                    iter_host += p.index.last_host_scanned
-                else:
-                    scanned = compute_pointers(
-                        p.local_indptr,
-                        graph.indices[graph.indptr[p.start]:],
-                        graph.weights[graph.indptr[p.start]:],
-                        eids[graph.indptr[p.start]:],
-                        mate_g, p.pointers, sel, row_offset=p.start,
-                    )
-                    iter_scanned += scanned
-                    iter_host += scanned
             pipe = dual_buffer_schedule(load_times, comp_times)
             makespans.append(pipe.makespan)
             computes.append(pipe.compute_time)
@@ -393,51 +371,46 @@ def ld_gpu(
         t_comp = max(computes) if computes else 0.0
         tel.emit("pointing", t_comp)
         tel.emit("batch_transfer", max(0.0, t_point - t_comp))
+        # Exact arithmetic, once for the whole frontier.
+        if index is not None:
+            iter_scanned = index.point(mate, pointers, frontier)
+            iter_host = index.last_host_scanned
+        else:
+            iter_scanned = iter_host = compute_pointers(
+                graph.indptr, graph.indices, graph.weights, eids,
+                mate, pointers, frontier,
+            )
         host_pointing += iter_host
 
         # ---------------- allreduce(pointers) -------------------------- #
-        # Each device contributes only its owned vertex range; everything
-        # else is the reduction identity (-1).  This is what makes the MAX
-        # reduction "unambiguous" in the paper's Lemma III.1 proof — a
-        # stale merged value for a re-pointed remote vertex must not win.
-        for p in parts:
-            p.pointers[: p.start] = UNMATCHED
-            p.pointers[p.stop :] = UNMATCHED
-        t = allreduce([p.pointers for p in parts])
-        tel.emit("allreduce_pointers", t)
-        pointers_g = parts[0].pointers  # all equal after allreduce
+        tel.emit("allreduce_pointers", allreduce(replicated_bytes))
 
         # ---------------- matching phase ------------------------------- #
         # Pairs are discovered once from the merged pointers — the index
         # engine probes only pointers that changed this round (every
         # change lands inside the frontier), the segment oracle sweeps
-        # all vertices like the modeled kernel; each device's SetMates
-        # writes only the endpoints it owns, and the mate allreduce below
-        # reconstructs the global view, exactly as in Algorithm 2.
+        # all vertices like the modeled kernel.  Each device's SetMates
+        # launch sweeps the vertices it owns.
         if mutual is not None:
-            lo, hi = mutual.find_pairs(pointers_g, frontier)
+            lo, hi = mutual.find_pairs(pointers, frontier)
             match_host = mutual.last_host_scanned
         else:
-            lo, hi = find_mutual_pairs(pointers_g, None)
+            lo, hi = find_mutual_pairs(pointers, None)
             match_host = n
         host_matching += match_host
         count(HOST_SCAN_COUNTER, iter_host + match_host, HOST_SCAN_HELP,
               algorithm="ld_gpu", engine=engine, device=spec.name)
+        mate[lo] = hi
+        mate[hi] = lo
         match_times = []
         for p in parts:
-            own_lo = lo[(lo >= p.start) & (lo < p.stop)]
-            p.mate[own_lo] = pointers_g[own_lo]
-            own_hi = hi[(hi >= p.start) & (hi < p.stop)]
-            p.mate[own_hi] = pointers_g[own_hi]
             prof = matching_kernel_cost(spec, p.num_vertices)
             match_times.append(prof.seconds)
             p.device.record_kernel()
         tel.emit("matching", max(match_times) if match_times else 0.0)
 
         # ---------------- allreduce(mate) + sync ----------------------- #
-        t = allreduce([p.mate for p in parts])
-        tel.emit("allreduce_mate", t)
-        mate_g = parts[0].mate
+        tel.emit("allreduce_mate", allreduce(replicated_bytes))
         sync_batches = max(0, nb - 2)
         tel.emit(
             "sync",
@@ -463,16 +436,14 @@ def ld_gpu(
         if len(lo) == 0:
             break
 
-        # Clear matched vertices' pointers on every device and advance the
-        # frontier (identical to LD-SEQ's rule).
-        for p in parts:
-            p.pointers[lo] = UNMATCHED
-            p.pointers[hi] = UNMATCHED
-        pointers_g = parts[0].pointers
-        live = np.nonzero((mate_g == UNMATCHED) & (pointers_g >= 0))[0]
-        frontier = live[mate_g[pointers_g[live]] != UNMATCHED]
+        # Clear matched vertices' pointers and advance the frontier
+        # (identical to LD-SEQ's rule).
+        pointers[lo] = UNMATCHED
+        pointers[hi] = UNMATCHED
+        live = np.nonzero((mate == UNMATCHED) & (pointers >= 0))[0]
+        frontier = live[mate[pointers[live]] != UNMATCHED]
 
-    weight = matching_weight(graph, mate_g)
+    weight = matching_weight(graph, mate)
     stats: dict = {
         "config": LdGpuRun(platform.name, num_devices, nb,
                            vertices_per_warp, engine),
@@ -495,7 +466,7 @@ def ld_gpu(
             new_matches=np.asarray(new_matches_series, dtype=np.int64),
         )
     return MatchResult(
-        mate=mate_g.copy(),
+        mate=mate,
         weight=weight,
         algorithm="ld_gpu",
         iterations=iterations,

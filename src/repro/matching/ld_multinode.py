@@ -17,7 +17,7 @@ hierarchical collective provides).
 
 from __future__ import annotations
 
-from repro.comm.collectives import hierarchical_allreduce_max
+from repro.comm.collectives import hierarchical_allreduce_time
 from repro.gpusim.cluster import (
     DGX_A100_SUPERPOD,
     ClusterSpec,
@@ -64,9 +64,9 @@ def ld_multinode(
     platform = cluster.flat_platform(dpn)
     emit_cluster_shape(cluster, nodes, dpn)
 
-    def allreduce(buffers):
-        t = hierarchical_allreduce_max(
-            buffers, dpn, cluster.node.gpu_link, cluster.inter_node
+    def allreduce(nbytes):
+        t = hierarchical_allreduce_time(
+            nbytes, nodes, dpn, cluster.node.gpu_link, cluster.inter_node
         )
         # Separate from the component spans ld_gpu emits (those already
         # charge allreduce_* time) — this is the collective-level

@@ -4,8 +4,9 @@ Each round has a *pointing* phase (every live vertex points at its heaviest
 available neighbour) and a *matching* phase (mutually pointing pairs are
 committed and their edges removed).  The module also exposes the two phase
 kernels — :func:`compute_pointers` and :func:`find_mutual_pairs` — which
-LD-GPU reuses per simulated device so the two implementations are
-arithmetically identical (the paper's Lemma III.1 as code reuse).
+LD-GPU reuses for its whole-frontier host arithmetic so the two
+implementations are arithmetically identical (the paper's Lemma III.1 as
+code reuse).
 
 Tie-breaking
 ------------
@@ -62,20 +63,15 @@ def compute_pointers(
     mate: np.ndarray,
     pointer: np.ndarray,
     frontier: np.ndarray,
-    row_offset: int = 0,
 ) -> int:
     """Pointing phase for the vertices in ``frontier``.
 
-    ``indptr`` may describe a *local* row range starting at global vertex id
-    ``row_offset`` (how a device partition stores its rows); ``indices``,
-    ``mate`` and ``pointer`` are always global.  ``frontier`` holds global
-    ids within the local range.  Updates ``pointer`` in place and returns
-    the number of adjacency entries scanned (the paper's warp-edge work).
+    Updates ``pointer`` in place and returns the number of adjacency
+    entries scanned (the paper's warp-edge work).
     """
     if len(frontier) == 0:
         return 0
-    local = frontier - row_offset
-    sub_indptr, pos = gather_rows(indptr, local)
+    sub_indptr, pos = gather_rows(indptr, frontier)
     nbrs = indices[pos]
     primary = np.where(mate[nbrs] == UNMATCHED, weights[pos], _NEG_INF)
     win = segment_argmax_lex(primary, eids[pos], sub_indptr)

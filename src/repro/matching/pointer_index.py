@@ -10,12 +10,11 @@ task distribution") and that Suitor-style algorithms (Birn et al.,
 *Efficient Parallel and External Matching*) turn into amortized-linear
 total work.
 
-:class:`PointerIndex` is the *index* engine: per-vertex cursors over a
-slice of the graph-owned pointing order
+:class:`PointerIndex` is the *index* engine: per-vertex cursors over
+the graph-owned pointing order
 (:meth:`~repro.graph.csr.CSRGraph.sorted_order`, each row descending by
-the shared lexicographic key ``(w, eid)``).  ``ld_seq`` hands it the
-whole order; LD-GPU hands each device the slice of its contiguous row
-range, keyed by ``row_offset``.  Pointing then just advances each
+the shared lexicographic key ``(w, eid)``), built the same way by
+``ld_seq`` and LD-GPU.  Pointing then just advances each
 frontier vertex's cursor past neighbours whose ``mate`` is set and
 takes the first live entry.  Because the key is a strict total order
 within a row, the first live entry *is* the ``segment_argmax_lex``
@@ -23,7 +22,7 @@ winner — the engines are bit-identical by construction (the same total
 order as Lemma III.1's tie-break).  Cursors only ever move forward and
 each advance permanently retires one adjacency entry, so the host
 arithmetic over an entire run is O(m), instead of O(m × rounds); the
-O(m log m) sort is paid once per graph, not per run or per device.
+O(m log m) sort is paid once per graph, not per run.
 
 Cursor advances are vectorised as repeated whole-frontier NumPy steps
 over a shrinking working set — there is no per-vertex Python loop.
@@ -109,22 +108,16 @@ def resolve_pointing_engine(engine: str | None = None) -> str:
 
 
 class PointerIndex:
-    """Per-vertex cursors over one CSR row range in pointing order.
+    """Per-vertex cursors over a CSR graph's rows in pointing order.
 
     Parameters
     ----------
     indptr:
-        Local row offsets (length ``n_local + 1``); may describe a
-        device partition's row range starting at global vertex id
-        ``row_offset`` (cf. :func:`~repro.matching.ld_seq.
-        compute_pointers`).
+        Row offsets (length ``n + 1``).
     sorted_indices:
-        Neighbour ids (global) of the range's adjacency entries in the
-        graph's :meth:`~repro.graph.csr.CSRGraph.sorted_order`, indexed
-        by ``indptr``'s local positions — for a row range ``[a, b)``,
-        ``graph.indices[graph.sorted_order()[indptr[a]:indptr[b]]]``.
-    row_offset:
-        Global id of local row 0.
+        Neighbour ids of the adjacency entries in the graph's
+        :meth:`~repro.graph.csr.CSRGraph.sorted_order`, i.e.
+        ``graph.indices[graph.sorted_order()]``.
 
     Notes
     -----
@@ -139,13 +132,11 @@ class PointerIndex:
         self,
         indptr: np.ndarray,
         sorted_indices: np.ndarray,
-        row_offset: int = 0,
     ) -> None:
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.row_offset = int(row_offset)
         #: Neighbour id per sorted adjacency slot.
         self.sorted_indices = sorted_indices
-        #: Per-local-vertex cursor into the sorted layout.
+        #: Per-vertex cursor into the sorted layout.
         self.cursor = self.indptr[:-1].copy()
         #: Actual adjacency entries examined across all ``point`` calls.
         self.host_entries_scanned = 0
@@ -171,9 +162,8 @@ class PointerIndex:
         if len(frontier) == 0:
             self.last_host_scanned = 0
             return 0
-        local = frontier - self.row_offset
-        cur = self.cursor[local]
-        end = self.indptr[local + 1]
+        cur = self.cursor[frontier]
+        end = self.indptr[frontier + 1]
         nbrs = self.sorted_indices
 
         # Whole-frontier vectorised cursor advance: ``work`` holds the
@@ -189,7 +179,7 @@ class PointerIndex:
             work = work[cur[work] < end[work]]
             host += len(work)
             work = work[mate[nbrs[cur[work]]] != UNMATCHED]
-        self.cursor[local] = cur
+        self.cursor[frontier] = cur
 
         has = cur < end
         pointer[frontier] = UNMATCHED
@@ -198,7 +188,7 @@ class PointerIndex:
 
         self.last_host_scanned = int(host)
         self.host_entries_scanned += self.last_host_scanned
-        return int((end - self.indptr[local]).sum())
+        return int((end - self.indptr[frontier]).sum())
 
 
 class MutualIndex:

@@ -76,15 +76,18 @@ def graph_fingerprint(graph: "CSRGraph") -> str:
 
     Covers ``indptr``, ``indices`` and ``weights`` via sampled bytes plus
     whole-array checksums — two graphs with the same fingerprint carry
-    the same topology and weights for all practical purposes, while the
-    cost stays O(1)-ish on LARGE inputs.
+    the same topology and weights for all practical purposes.  Memoised
+    per graph instance (a run hashes its graph for provenance and again
+    for its store key); rebinding one of the arrays drops the memo.
     """
-    h = hashlib.sha256()
-    h.update(f"v={graph.num_vertices};e={graph.num_directed_edges};"
-             .encode())
-    for arr in (graph.indptr, graph.indices, graph.weights):
-        _hash_array(h, arr)
-    return f"sha256:{h.hexdigest()[:32]}"
+    if graph._fingerprint is None:
+        h = hashlib.sha256()
+        h.update(f"v={graph.num_vertices};e={graph.num_directed_edges};"
+                 .encode())
+        for arr in (graph.indptr, graph.indices, graph.weights):
+            _hash_array(h, arr)
+        graph._fingerprint = f"sha256:{h.hexdigest()[:32]}"
+    return graph._fingerprint
 
 
 def build_manifest(

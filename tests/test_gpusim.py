@@ -244,6 +244,24 @@ class TestOccupancy:
         with pytest.raises(ValueError):
             warp_work_distribution(np.array([1]), 0)
 
+    @given(st.one_of(
+        # tie-heavy: a few repeated degrees
+        st.lists(st.sampled_from([0, 1, 7, 32]), min_size=1, max_size=400),
+        st.lists(st.integers(0, 10_000), min_size=1, max_size=400),
+        st.lists(st.integers(0, 2**40), min_size=1, max_size=400),
+    ), st.integers(1, 64))
+    def test_warp_stats_bit_identical_to_numpy(self, work, vpw):
+        """The ufunc spelling of the summary equals numpy's reducers on
+        the per-warp sums bit for bit."""
+        work = np.asarray(work, dtype=np.int64)
+        warp = np.add.reduceat(work, np.arange(0, len(work), vpw))
+        stats = warp_work_distribution(work, vpw)
+        assert stats.num_warps == len(warp)
+        assert stats.total_work == int(warp.sum())
+        assert stats.max_work == int(warp.max())
+        assert stats.mean_work.hex() == float(np.mean(warp)).hex()
+        assert stats.std_work.hex() == float(np.std(warp)).hex()
+
     def test_occupancy_saturates(self):
         assert sm_occupancy(A100, 10 * A100.hw_warps) == 1.0
 

@@ -6,7 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_graphs
-from repro.comm.collectives import hierarchical_allreduce_max
+from repro.comm.collectives import (
+    hierarchical_allreduce_max,
+    hierarchical_allreduce_time,
+)
 from repro.comm.topology import INFINIBAND_HDR, NVLINK_SXM4
 from repro.gpusim.cluster import DGX_A100_SUPERPOD, ClusterSpec
 from repro.gpusim.spec import DGX_2, DGX_A100
@@ -40,6 +43,16 @@ class TestHierarchicalAllreduce:
         # pure inter-node ring, no intra stages
         assert t > 0
         assert np.all(bufs[0] == 1)
+
+    def test_time_is_the_hierarchical_formula(self):
+        """The combine and the charge-only hook LD-GPU uses share one
+        cost formula."""
+        bufs = [np.zeros(1000, dtype=np.int64) for _ in range(8)]
+        for dpn in (1, 2, 4, 8):
+            t = hierarchical_allreduce_max(bufs, dpn, NVLINK_SXM4,
+                                           INFINIBAND_HDR)
+            assert t == hierarchical_allreduce_time(
+                8000, 8 // dpn, dpn, NVLINK_SXM4, INFINIBAND_HDR)
 
     def test_ragged_nodes_rejected(self):
         bufs = [np.zeros(4)] * 3

@@ -7,7 +7,7 @@ reports through ``host_entries_scanned``.  These tests pit the engines
 against each other across random graphs (plain and tie-prone), the
 dataset generators under both weight schemes, and the LD-GPU
 (devices, batches, partition) grid, plus unit coverage for cursor reuse,
-``row_offset``, engine resolution and the satellite fast paths.
+engine resolution and the satellite fast paths.
 """
 
 from __future__ import annotations
@@ -383,33 +383,6 @@ def test_mutual_index_none_diffs_whole_array():
     lo, hi = mutual.find_pairs(pointer, None)
     assert len(lo) == 0 and mutual.last_host_scanned == 0
     assert mutual.host_entries_scanned == 2
-
-
-def test_row_offset_matches_global(medium_graph):
-    """Per-partition indices (local indptr + a slice of the graph's
-    sorted order, exactly how LD-GPU builds them) agree with global
-    pointing."""
-    g = medium_graph
-    n = g.num_vertices
-    eids = g.canonical_edge_ids()
-    mate = np.full(n, UNMATCHED, dtype=np.int64)
-    # Pre-match some vertices so cursor skipping is exercised.
-    mate[::7] = (np.arange(n)[::7] + 1) % n
-    split = n // 3
-    global_ptr = np.full(n, UNMATCHED, dtype=np.int64)
-    part_ptr = np.full(n, UNMATCHED, dtype=np.int64)
-    frontier = np.nonzero(mate == UNMATCHED)[0]
-    compute_pointers(g.indptr, g.indices, g.weights, eids, mate,
-                     global_ptr, frontier)
-    for start, stop in ((0, split), (split, n)):
-        base, top = int(g.indptr[start]), int(g.indptr[stop])
-        local_indptr = g.indptr[start:stop + 1] - base
-        idx = PointerIndex(local_indptr,
-                           g.indices[g.sorted_order()[base:top]],
-                           row_offset=start)
-        sel = frontier[(frontier >= start) & (frontier < stop)]
-        idx.point(mate, part_ptr, sel)
-    assert np.array_equal(part_ptr[frontier], global_ptr[frontier])
 
 
 # ------------------------------------------------------------------ #

@@ -266,6 +266,18 @@ class TestProvenance:
         g2.weights[len(g2.weights) // 2] += 1.0
         assert graph_fingerprint(medium_graph) != graph_fingerprint(g2)
 
+    def test_fingerprint_memoised_until_rebound(self, medium_graph):
+        import copy
+
+        g = copy.copy(medium_graph)
+        g.weights = medium_graph.weights.copy()
+        fp = graph_fingerprint(g)
+        g.sorted_order()
+        assert g._fingerprint == fp
+        g.weights = g.weights * 2.0  # rebinding drops every memo
+        assert g._fingerprint is None and g._sorted_order is None
+        assert graph_fingerprint(g) != fp
+
 
 class TestMetricsSink:
     def test_run_records_metrics_and_reconciles(self, medium_graph):
